@@ -376,7 +376,8 @@ fn main() {
             Record::new(format!("e_chaos/{name}{suffix}"), n, mean)
                 .with_percentiles(p50, p99, p999)
                 .with_msgs(out.msgs_per_op(), 0.0)
-                .with_threads(workers),
+                .with_threads(workers)
+                .with_unit("ticks"),
         );
         records.push(
             Record::new(
@@ -384,7 +385,8 @@ fn main() {
                 n,
                 (out.availability() * 1000.0).round(),
             )
-            .with_threads(workers),
+            .with_threads(workers)
+            .with_unit("permille"),
         );
     }
     print!("{}", table.to_markdown());

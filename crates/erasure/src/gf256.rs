@@ -1,32 +1,58 @@
 //! Arithmetic in `GF(2⁸)` with the AES reduction polynomial
 //! `x⁸ + x⁴ + x³ + x + 1` (0x11B). Multiplication and inversion go
 //! through 256-entry log/antilog tables generated from the generator
-//! `0x03`; addition is XOR.
+//! `0x03`; addition is XOR. Every table is computed at compile time:
+//! the shared `GF` instance holds the log/antilog pair and `MUL` the
+//! full 256×256 product table that the row kernels in [`crate::rs`]
+//! read.
 
-/// Precomputed `GF(2⁸)` tables.
+/// Precomputed `GF(2⁸)` log/antilog tables.
 #[derive(Clone)]
 pub struct Gf256 {
     exp: [u8; 512], // doubled to skip a mod 255
     log: [u8; 256],
 }
 
+/// The field's tables, built once at compile time.
+pub(crate) static GF: Gf256 = Gf256::new();
+
+/// `MUL[a][b] = a·b` for every pair of field elements (64 KiB), so a
+/// row kernel multiplies a byte by a fixed coefficient with one
+/// branch-free lookup into the coefficient's 256-byte row.
+pub(crate) static MUL: [[u8; 256]; 256] = {
+    let mut t = [[0u8; 256]; 256];
+    let mut a = 0;
+    while a < 256 {
+        let mut b = 0;
+        while b < 256 {
+            t[a][b] = GF.mul(a as u8, b as u8);
+            b += 1;
+        }
+        a += 1;
+    }
+    t
+};
+
 impl Gf256 {
-    /// Build the tables (cheap; do it once and share).
-    pub fn new() -> Self {
+    /// Build the tables (a `const fn`; the crate shares one static
+    /// instance).
+    pub const fn new() -> Self {
         let mut exp = [0u8; 512];
         let mut log = [0u8; 256];
         let mut x: u16 = 1;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..255 {
+        let mut i = 0;
+        while i < 255 {
             exp[i] = x as u8;
             log[x as usize] = i as u8;
             // multiply x by the generator 0x03 = x + 1: x*3 = x*2 ^ x
             let x2 = x << 1;
             let x2 = if x2 & 0x100 != 0 { x2 ^ 0x11B } else { x2 };
             x = (x2 ^ x) & 0xFF;
+            i += 1;
         }
-        for i in 255..512 {
+        while i < 512 {
             exp[i] = exp[i - 255];
+            i += 1;
         }
         Gf256 { exp, log }
     }
@@ -39,7 +65,7 @@ impl Gf256 {
 
     /// Field multiplication.
     #[inline]
-    pub fn mul(&self, a: u8, b: u8) -> u8 {
+    pub const fn mul(&self, a: u8, b: u8) -> u8 {
         if a == 0 || b == 0 {
             0
         } else {
@@ -96,6 +122,16 @@ mod tests {
             assert_eq!(f.mul(a, 1), a);
             assert_eq!(f.mul(a, 0), 0);
             assert_eq!(f.add(a, a), 0);
+        }
+    }
+
+    #[test]
+    fn product_table_matches_the_log_tables() {
+        let f = Gf256::new();
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                assert_eq!(MUL[a as usize][b as usize], f.mul(a, b), "{a} · {b}");
+            }
         }
     }
 

@@ -10,12 +10,12 @@
 //! from scratch:
 //!
 //! * [`gf256`] — arithmetic in `GF(2⁸)` (AES polynomial `0x11B`) with
-//!   log/antilog tables built at construction,
-//! * [`rs`] — a systematic Reed-Solomon code: `encode` produces `m`
-//!   shares from `k` data shards; [`try_decode`] reconstructs from
-//!   **any** `k` of them (Vandermonde matrix inversion over the
-//!   field) and reports a typed [`DecodeError`] — never a panic —
-//!   when fewer than `k` distinct shares survive,
+//!   log/antilog and full product tables computed at compile time,
+//! * [`rs`] — a Reed-Solomon (Vandermonde, non-systematic) code:
+//!   `encode` produces `m` shares from `k` data shards; [`try_decode`]
+//!   reconstructs from **any** `k` of them (Vandermonde matrix
+//!   inversion over the field) and reports a typed [`DecodeError`] —
+//!   never a panic — when fewer than `k` distinct shares survive,
 //! * [`header`] — share versioning: the [`ShareHeader`] sealed in
 //!   front of every stored or shipped share, so quorum reads only
 //!   combine shares of one item generation and repair re-materializes
